@@ -17,7 +17,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
            service_test harness_test query_graph_test planner_parity_test \
            batch_parity_test serialization_test model_store_test \
            server_test server_metrics_test drift_test \
-           kernel_parity_test arena_test join_hash_test
+           kernel_parity_test arena_test join_hash_test \
+           true_card_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}"
 if [ "$#" -gt 0 ]; then
@@ -27,7 +28,8 @@ else
               service_test harness_test query_graph_test \
               planner_parity_test batch_parity_test serialization_test \
               model_store_test server_test server_metrics_test drift_test \
-              kernel_parity_test arena_test join_hash_test; do
+              kernel_parity_test arena_test join_hash_test \
+              true_card_test; do
     echo "== $test (ASAN) =="
     "$BUILD_DIR/tests/$test"
   done

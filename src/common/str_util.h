@@ -1,9 +1,13 @@
 #ifndef CARDBENCH_COMMON_STR_UTIL_H_
 #define CARDBENCH_COMMON_STR_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
+
+#include "common/status.h"
 
 namespace cardbench {
 
@@ -30,6 +34,27 @@ uint64_t Fnv1aHash(std::string_view text);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// Parses the whole of `text` as one base-10 number of type T (an integer
+/// type or double) with std::from_chars: no surrounding whitespace, no '+'
+/// sign, no trailing characters. Malformed text and values outside T's range
+/// give InvalidArgument. This is the checked replacement for std::sto*, which
+/// throws on both and silently ignores trailing garbage ("12abc" reads as 12).
+template <typename T>
+Result<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("number out of range: '" +
+                                   std::string(text) + "'");
+  }
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("not a number: '" + std::string(text) +
+                                   "'");
+  }
+  return value;
+}
 
 /// Human-readable duration: picks s / ms / h formatting as the paper's
 /// tables do (e.g. "3.67h", "25s", "4.3ms").

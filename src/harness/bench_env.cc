@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <string_view>
+#include <type_traits>
 
 #include "cardest/truecard_est.h"
 #include "common/logging.h"
@@ -13,6 +16,36 @@
 #include "metrics/metrics.h"
 
 namespace cardbench {
+
+namespace {
+
+/// The value of `arg` (after `prefix`) as a T in [lo, hi]. A malformed or
+/// out-of-range value prints "<flag> must be <expect>, got <arg>" and exits
+/// with code 2: a bad flag never aborts with an uncaught exception.
+template <typename T>
+T FlagNumber(const std::string& arg, std::string_view prefix, T lo, T hi,
+             const char* expect) {
+  const auto parsed =
+      ParseNumber<T>(std::string_view(arg).substr(prefix.size()));
+  if (!parsed.ok() || !(lo <= *parsed && *parsed <= hi)) {  // NaN fails too
+    std::fprintf(stderr, "%.*s must be %s, got %s\n",
+                 static_cast<int>(prefix.size() - 1), prefix.data(), expect,
+                 arg.c_str());
+    std::exit(2);
+  }
+  return *parsed;
+}
+
+/// FlagNumber over T's whole range.
+template <typename T>
+T FlagNumber(const std::string& arg, std::string_view prefix) {
+  return FlagNumber<T>(
+      arg, prefix, std::numeric_limits<T>::lowest(),
+      std::numeric_limits<T>::max(),
+      std::is_integral_v<T> ? "an integer in range" : "a finite number");
+}
+
+}  // namespace
 
 BenchFlags ParseBenchFlags(int argc, char** argv) {
   // Bench tables are often tee'd into logs; line buffering keeps rows
@@ -27,11 +60,11 @@ BenchFlags ParseBenchFlags(int argc, char** argv) {
     if (arg == "--fast") {
       flags.fast = true;
     } else if (StartsWith(arg, "--scale=")) {
-      flags.scale = std::stod(value_of("--scale="));
+      flags.scale = FlagNumber<double>(arg, "--scale=");
     } else if (StartsWith(arg, "--max-queries=")) {
-      flags.max_queries = std::stoul(value_of("--max-queries="));
+      flags.max_queries = FlagNumber<size_t>(arg, "--max-queries=");
     } else if (StartsWith(arg, "--exec-timeout=")) {
-      flags.exec_timeout = std::stod(value_of("--exec-timeout="));
+      flags.exec_timeout = FlagNumber<double>(arg, "--exec-timeout=");
     } else if (StartsWith(arg, "--cache-dir=")) {
       flags.cache_dir = value_of("--cache-dir=");
     } else if (StartsWith(arg, "--model-dir=")) {
@@ -39,61 +72,23 @@ BenchFlags ParseBenchFlags(int argc, char** argv) {
     } else if (StartsWith(arg, "--estimators=")) {
       flags.estimators = Split(value_of("--estimators="), ',');
     } else if (StartsWith(arg, "--training-queries=")) {
-      flags.training_queries = std::stoul(value_of("--training-queries="));
+      flags.training_queries = FlagNumber<size_t>(arg, "--training-queries=");
     } else if (StartsWith(arg, "--exec-repeats=")) {
-      flags.exec_repeats = std::stoul(value_of("--exec-repeats="));
+      flags.exec_repeats = FlagNumber<size_t>(arg, "--exec-repeats=");
     } else if (StartsWith(arg, "--threads=")) {
-      size_t parsed = 0;
-      try {
-        parsed = std::stoul(value_of("--threads="));
-      } catch (const std::exception&) {
-        parsed = 0;  // falls through to the range error below
-      }
-      if (parsed < 1 || parsed > 1024) {
-        std::fprintf(stderr, "--threads must be in [1, 1024], got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.threads = parsed;
+      flags.threads =
+          FlagNumber<size_t>(arg, "--threads=", 1, 1024, "in [1, 1024]");
     } else if (StartsWith(arg, "--queue-depth=")) {
-      size_t parsed = 0;
-      try {
-        parsed = std::stoul(value_of("--queue-depth="));
-      } catch (const std::exception&) {
-        parsed = 0;
-      }
-      if (parsed < 1) {
-        std::fprintf(stderr, "--queue-depth must be >= 1, got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.queue_depth = parsed;
+      flags.queue_depth =
+          FlagNumber<size_t>(arg, "--queue-depth=", 1,
+                             std::numeric_limits<size_t>::max(), ">= 1");
     } else if (StartsWith(arg, "--exec-threads=")) {
-      size_t parsed = 0;
-      try {
-        parsed = std::stoul(value_of("--exec-threads="));
-      } catch (const std::exception&) {
-        parsed = 0;
-      }
-      if (parsed < 1 || parsed > 1024) {
-        std::fprintf(stderr, "--exec-threads must be in [1, 1024], got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.exec_threads = parsed;
+      flags.exec_threads =
+          FlagNumber<size_t>(arg, "--exec-threads=", 1, 1024, "in [1, 1024]");
     } else if (StartsWith(arg, "--batch-size=")) {
-      size_t parsed = 0;
-      try {
-        parsed = std::stoul(value_of("--batch-size="));
-      } catch (const std::exception&) {
-        parsed = 0;
-      }
-      if (parsed < 1) {
-        std::fprintf(stderr, "--batch-size must be >= 1, got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.batch_size = parsed;
+      flags.batch_size =
+          FlagNumber<size_t>(arg, "--batch-size=", 1,
+                             std::numeric_limits<size_t>::max(), ">= 1");
     } else if (StartsWith(arg, "--arena=")) {
       const std::string v = value_of("--arena=");
       if (v == "on" || v == "1" || v == "true") {
@@ -116,38 +111,15 @@ BenchFlags ParseBenchFlags(int argc, char** argv) {
         std::exit(2);
       }
     } else if (StartsWith(arg, "--radix-bits=")) {
-      size_t parsed = 0;
-      bool ok = true;
-      try {
-        parsed = std::stoul(value_of("--radix-bits="));
-      } catch (const std::exception&) {
-        ok = false;
-      }
-      if (!ok || parsed > 12) {
-        std::fprintf(stderr, "--radix-bits must be in [0, 12], got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.radix_bits = parsed;
+      flags.radix_bits =
+          FlagNumber<size_t>(arg, "--radix-bits=", 0, 12, "in [0, 12]");
     } else if (StartsWith(arg, "--prefetch-distance=")) {
-      size_t parsed = 0;
-      bool ok = true;
-      try {
-        parsed = std::stoul(value_of("--prefetch-distance="));
-      } catch (const std::exception&) {
-        ok = false;
-      }
-      if (!ok || parsed > 64) {
-        std::fprintf(stderr,
-                     "--prefetch-distance must be in [0, 64], got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.prefetch_distance = parsed;
+      flags.prefetch_distance = FlagNumber<size_t>(
+          arg, "--prefetch-distance=", 0, 64, "in [0, 64]");
     } else if (StartsWith(arg, "--seed=")) {
-      flags.seed = std::stoull(value_of("--seed="));
+      flags.seed = FlagNumber<uint64_t>(arg, "--seed=");
     } else if (StartsWith(arg, "--verbose=")) {
-      LogLevel() = std::stoi(value_of("--verbose="));
+      LogLevel() = FlagNumber<int>(arg, "--verbose=");
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nflags: --fast --scale=F --max-queries=N "
@@ -225,9 +197,15 @@ Status BenchEnv::Prepare(BenchDataset dataset, const BenchFlags& flags) {
                 std::to_string(flags.seed) + "_v" +
                 std::to_string(kDataGenVersion) + ".tsv";
   if (std::filesystem::exists(cache_path_)) {
-    CARDBENCH_RETURN_IF_ERROR(truecard_->LoadCache(cache_path_));
-    CARDBENCH_LOG("loaded %zu cached true cardinalities from %s",
-                  truecard_->cache_size(), cache_path_.c_str());
+    const Status loaded = truecard_->LoadCache(cache_path_);
+    if (loaded.ok()) {
+      CARDBENCH_LOG("loaded %zu cached true cardinalities from %s",
+                    truecard_->cache_size(), cache_path_.c_str());
+    } else {
+      // Recounting is cheap; the file is overwritten below.
+      CARDBENCH_LOG("ignoring true-cardinality cache: %s",
+                    loaded.ToString().c_str());
+    }
   }
 
   // Workload generation (STATS-CEB or JOB-LIGHT shape).
@@ -281,7 +259,13 @@ const std::vector<TrainingQuery>& BenchEnv::training() {
     limits.timeout_seconds = 10.0;
     limits.max_intermediate_tuples = 20000000;
     TrueCardService service(*db_, limits, flags_.exec_options());
-    (void)service.LoadCache(cache_path_);
+    if (std::filesystem::exists(cache_path_)) {
+      const Status loaded = service.LoadCache(cache_path_);
+      if (!loaded.ok()) {
+        CARDBENCH_LOG("ignoring true-cardinality cache: %s",
+                      loaded.ToString().c_str());
+      }
+    }
     auto result = GenerateTrainingQueries(*db_, service,
                                           flags_.training_queries,
                                           flags_.seed + 7);

@@ -165,7 +165,7 @@ Result<Query> ParseSql(const std::string& sql) {
         return Status::InvalidArgument("expected integer literal, got '" +
                                        rhs + "'");
       }
-      Value value = static_cast<Value>(std::stoll(rhs));
+      CARDBENCH_ASSIGN_OR_RETURN(Value value, ParseNumber<Value>(rhs));
       if (negative) value = -value;
       query.predicates.push_back({lt, lc, op, value});
     }

@@ -79,7 +79,7 @@ Status ReadTableCsv(Table& table, const std::string& path) {
       if (fields[c].empty()) {
         row[c] = std::nullopt;
       } else {
-        row[c] = static_cast<Value>(std::stoll(fields[c]));
+        CARDBENCH_ASSIGN_OR_RETURN(row[c], ParseNumber<Value>(fields[c]));
       }
     }
     CARDBENCH_RETURN_IF_ERROR(table.AppendRow(row));

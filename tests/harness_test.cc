@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "harness/bench_env.h"
 
@@ -37,6 +39,19 @@ TEST(BenchFlagsTest, ParsesAllFlags) {
   EXPECT_EQ(flags.estimators[1], "FLAT");
   EXPECT_EQ(flags.training_queries, 50u);
   EXPECT_EQ(flags.seed, 9u);
+}
+
+TEST(BenchFlagsTest, MalformedNumbersExitWithUsageError) {
+  // Each used to be read in part ("12abc" as 12) or to abort with an
+  // uncaught std::out_of_range.
+  for (const char* arg :
+       {"--scale=12abc", "--scale=nan", "--max-queries=-1",
+        "--seed=99999999999999999999", "--verbose=", "--threads=abc"}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(ParseBenchFlags(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2), " must be ")
+        << arg;
+  }
 }
 
 TEST(BenchEnvTest, EndToEndSmoke) {
@@ -99,6 +114,39 @@ TEST(BenchEnvTest, TrueCardCachePersistsAcrossEnvs) {
   auto env = BenchEnv::Create(BenchDataset::kStats, flags);
   ASSERT_TRUE(env.ok());
   EXPECT_GT((*env)->truecard().cache_size(), 0u);
+}
+
+TEST(BenchEnvTest, CorruptTrueCardCacheIsRebuiltNotTrusted) {
+  BenchFlags flags = SmokeFlags();
+  flags.cache_dir = ::testing::TempDir() + "/cardbench_harness_corrupt_" +
+                    std::to_string(getpid());
+  std::filesystem::remove_all(flags.cache_dir);
+  {
+    auto env = BenchEnv::Create(BenchDataset::kStats, flags);
+    ASSERT_TRUE(env.ok());
+  }
+  std::string path;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(flags.cache_dir)) {
+    if (entry.path().extension() == ".tsv") path = entry.path().string();
+  }
+  ASSERT_FALSE(path.empty());
+  // A torn value must not be read as 12.
+  auto corrupt = [&] {
+    std::ofstream(path, std::ios::app) << "T:users|J:|P:\t12abc\n";
+  };
+  corrupt();
+  auto env = BenchEnv::Create(BenchDataset::kStats, flags);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  EXPECT_GT((*env)->truecard().cache_size(), 0u);
+  TrueCardService reread((*env)->db());
+  EXPECT_TRUE(reread.LoadCache(path).ok()) << "cache not rewritten";
+
+  corrupt();
+  EXPECT_EQ((*env)->training().size(), flags.training_queries);
+  TrueCardService after_training((*env)->db());
+  EXPECT_TRUE(after_training.LoadCache(path).ok()) << "cache not rewritten";
+  std::filesystem::remove_all(flags.cache_dir);
 }
 
 }  // namespace

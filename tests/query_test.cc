@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
 
 #include "query/parser.h"
 #include "query/query.h"
@@ -115,6 +116,21 @@ TEST(ParserTest, RejectsNonEquiJoin) {
 TEST(ParserTest, RejectsGarbage) {
   EXPECT_FALSE(ParseSql("DELETE FROM users;").ok());
   EXPECT_FALSE(ParseSql("SELECT COUNT(*) FROM a WHERE a.x ==;").ok());
+}
+
+TEST(ParserTest, OutOfRangeLiteralIsInvalidArgument) {
+  const auto result = ParseSql(
+      "SELECT COUNT(*) FROM users WHERE users.Reputation >= "
+      "99999999999999999999;");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  // The extremes of the value domain still parse.
+  const auto extreme = ParseSql(
+      "SELECT COUNT(*) FROM users WHERE users.Reputation >= "
+      "9223372036854775807 AND users.Views > -9223372036854775807;");
+  ASSERT_TRUE(extreme.ok()) << extreme.status().ToString();
+  EXPECT_EQ(extreme->predicates[0].value, std::numeric_limits<Value>::max());
+  EXPECT_EQ(extreme->predicates[1].value, -std::numeric_limits<Value>::max());
 }
 
 TEST(ParserTest, RoundTripThroughToSql) {

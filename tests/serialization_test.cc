@@ -6,6 +6,7 @@
 // retraining, never mis-parse.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <memory>
@@ -107,8 +108,12 @@ BenchFlags LifecycleFlags() {
   flags.scale = 0.05;
   flags.max_queries = 6;
   flags.exec_timeout = 10.0;
-  flags.cache_dir = ::testing::TempDir() + "/cardbench_lifecycle_cache";
-  flags.model_dir = ::testing::TempDir() + "/cardbench_lifecycle_models";
+  // Per-process directories: ctest runs each test case in its own process,
+  // and SetUpTestSuite's remove_all must not race another process's reload.
+  const std::filesystem::path tmp = ::testing::TempDir();
+  const std::string pid = std::to_string(getpid());
+  flags.cache_dir = (tmp / ("cardbench_lifecycle_cache_" + pid)).string();
+  flags.model_dir = (tmp / ("cardbench_lifecycle_models_" + pid)).string();
   flags.training_queries = 100;
   return flags;
 }
@@ -123,6 +128,10 @@ class EstimatorLifecycleTest : public ::testing::TestWithParam<std::string> {
     auto env = BenchEnv::Create(BenchDataset::kStats, LifecycleFlags());
     ASSERT_TRUE(env.ok()) << env.status().ToString();
     env_ = env->release();
+  }
+  static void TearDownTestSuite() {
+    std::filesystem::remove_all(LifecycleFlags().cache_dir);
+    std::filesystem::remove_all(LifecycleFlags().model_dir);
   }
 
   static BenchEnv* env_;

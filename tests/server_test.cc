@@ -343,6 +343,33 @@ TEST_F(ServerTest, UnknownEstimatorAndBadSqlAnswerStructuredErrors) {
   EXPECT_TRUE(response->ok()) << response->error;
 }
 
+TEST_F(ServerTest, OutOfRangeLiteralAnswersErrorAndServerKeepsServing) {
+  EstimationService service;
+  service.RegisterEstimator(std::make_unique<HashEstimator>());
+  CardServer server(service, *db_);
+  ASSERT_TRUE(server.Start().ok());
+
+  CardClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  ServerRequest request;
+  request.estimator = "Hash";
+  request.sql =
+      "SELECT COUNT(*) FROM users WHERE users.Reputation >= "
+      "99999999999999999999;";
+  auto response = client.Call(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->code, StatusCode::kInvalidArgument) << response->error;
+  // The server is still up and answers the next request on the same
+  // connection.
+  request.sql = kSingleSql;
+  response = client.Call(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->ok()) << response->error;
+  EXPECT_TRUE(server.running());
+  server.Stop();
+}
+
 TEST_F(ServerTest, AdmissionRejectCarriesQueueDepthAndRetryHint) {
   ServiceOptions options;
   options.num_threads = 1;

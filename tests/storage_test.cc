@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "datagen/stats_gen.h"
 #include "storage/catalog.h"
@@ -177,6 +179,23 @@ TEST(CsvTest, RoundTripPreservesDataAndKinds) {
   EXPECT_EQ(back.column(0).Get(1), 2);
   EXPECT_FALSE(back.column(1).IsValid(1));
   EXPECT_EQ(back.column(1).Get(2), 30);
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, MalformedOrOutOfRangeValueIsInvalidArgument) {
+  Table t("t");
+  FillSmallTable(t);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("cardbench_csv_bad_" + std::to_string(getpid()) + ".csv"))
+          .string();
+  for (const char* bad_row : {"4,12abc", "4,99999999999999999999", "x,1"}) {
+    ASSERT_TRUE(WriteTableCsv(t, path).ok());
+    std::ofstream(path, std::ios::app) << bad_row << '\n';
+    Table back("t2");
+    EXPECT_EQ(ReadTableCsv(back, path).code(), StatusCode::kInvalidArgument)
+        << bad_row;
+  }
   std::remove(path.c_str());
 }
 
